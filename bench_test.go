@@ -226,34 +226,27 @@ func BenchmarkSimSpeed(b *testing.B) {
 }
 
 // benchSimSpeedLarge measures a large configuration (beyond the paper's
-// 64 nodes) at a given intra-run worker count. Workers > 1 uses the
-// board-sharded compute/commit engine; results are bit-identical to
-// workers=1 (see core's TestParallelMatchesSerial), so the only thing
-// that varies is wall-clock speed.
-func benchSimSpeedLarge(b *testing.B, boards, nodes, workers int) {
+// 64 nodes).
+func benchSimSpeedLarge(b *testing.B, boards, nodes int) {
 	cfg := DefaultConfig(PB)
 	cfg.Boards = boards
 	cfg.NodesPerBoard = nodes
 	cfg.Pattern = Uniform
 	cfg.Load = 0.5
-	cfg.Workers = workers
 	s, err := NewSystem(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	s.Controllers().Start()
 	// Warm the engine to steady state before measuring: the first windows
-	// grow the outbox logs, queue backing arrays and the delivery heap, and
-	// that one-time ramp would otherwise dominate the per-cycle allocation
+	// grow the queue backing arrays and the delivery heap, and that
+	// one-time ramp would otherwise dominate the per-cycle allocation
 	// figures at moderate b.N.
 	s.StepN(2 * cfg.Window)
 	b.ReportAllocs()
 	b.ResetTimer()
-	// Step in window-sized epochs, the way Run drives the engine: on a
-	// parallel system each StepN is one pool dispatch covering the whole
-	// window. One op is still one cycle, so ns/op and allocs/op stay
-	// per-cycle figures.
+	// Step in window-sized batches, the way Run drives the engine. One op
+	// is still one cycle, so ns/op and allocs/op stay per-cycle figures.
 	for done := uint64(0); done < uint64(b.N); {
 		n := cfg.Window
 		if rem := uint64(b.N) - done; rem < n {
@@ -268,20 +261,16 @@ func benchSimSpeedLarge(b *testing.B, boards, nodes, workers int) {
 	}
 }
 
-// BenchmarkSimSpeedLarge is the scaling speedometer for the parallel
-// engine: two large configurations (32 boards × 16 nodes = 512 nodes,
-// 64 boards × 8 nodes = 512 nodes with 8× the optical ports) at worker
-// counts 1, 2, 4 and 8. The w1/w8 ratio on a ≥ 8-core host is the
-// headline intra-run speedup recorded in BENCH_3.json; on fewer cores
-// the higher worker counts measure dispatch overhead instead.
+// BenchmarkSimSpeedLarge measures two large configurations: 32 boards
+// × 16 nodes = 512 nodes, and 64 boards × 8 nodes = 512 nodes with 8×
+// the optical ports. The "-w1" suffix keeps the row names of the
+// checked-in baselines, which scripts/bench.sh gates against.
 func BenchmarkSimSpeedLarge(b *testing.B) {
 	for _, sh := range []struct{ boards, nodes int }{{32, 16}, {64, 8}} {
-		for _, w := range []int{1, 2, 4, 8} {
-			sh, w := sh, w
-			b.Run(fmt.Sprintf("%dx%d-w%d", sh.boards, sh.nodes, w), func(b *testing.B) {
-				benchSimSpeedLarge(b, sh.boards, sh.nodes, w)
-			})
-		}
+		sh := sh
+		b.Run(fmt.Sprintf("%dx%d-w1", sh.boards, sh.nodes), func(b *testing.B) {
+			benchSimSpeedLarge(b, sh.boards, sh.nodes)
+		})
 	}
 }
 
@@ -303,7 +292,6 @@ func BenchmarkSimSpeedHier(b *testing.B) {
 		cfg.Window = 1000
 		cfg.WarmupCycles = 2000
 		cfg.MeasureCycles = 2000
-		cfg.Workers = 8
 		var r Runner
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -347,7 +335,7 @@ func BenchmarkSimSpeedComplement(b *testing.B) {
 }
 
 // BenchmarkSimSpeedIdle measures the idle floor: a powered system with
-// no offered traffic, driven in window-sized StepN epochs the way Run
+// no offered traffic, driven in window-sized StepN batches the way Run
 // drives the engine. Idle fast-forward should advance each quiet
 // stretch analytically — per idle cycle only the injector draws and the
 // idle-power sample remain — so this sits far below even the active-set
@@ -416,8 +404,8 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // BenchmarkPhaseProfileOverhead measures the phase profiler's cost on
 // the hot path, mirroring BenchmarkTelemetryOverhead: "off" must match
 // the plain engine (the nil-check discipline) and stay at 0 allocs/op;
-// "on" pays the per-phase clock reads and is the price of a
-// shard-balance investigation.
+// "on" pays the per-phase clock reads and is the price of a per-phase
+// time breakdown.
 func BenchmarkPhaseProfileOverhead(b *testing.B) {
 	run := func(b *testing.B, enable bool) {
 		cfg := DefaultConfig(PB)

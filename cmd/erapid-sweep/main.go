@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -38,15 +37,14 @@ func main() {
 		loads     = flag.String("loads", "", "comma-separated loads (default 0.1..0.9)")
 		csvPath   = flag.String("csv", "", "write full results as CSV to this file")
 		svgDir    = flag.String("svg", "", "write one SVG chart per (figure, metric) into this directory")
-		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS/run-workers)")
-		runWork   = flag.Int("run-workers", 1, "intra-run worker threads per simulation (board-sharded, bit-identical to 1)")
+		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		quick     = flag.Bool("quick", false, "shorter warm-up/measurement (coarser, ~5x faster)")
 		boards    = flag.Int("boards", 8, "boards B")
 		nodes     = flag.Int("nodes", 8, "nodes per board D")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		polFlag   = flag.String("policy", "", "reconfiguration policy for every run: a name (paper, greedy-off, ewma, oracle-static) or a JSON spec")
 		progress  = flag.Duration("progress-interval", 0, "minimum time between progress lines (0 = every point)")
-		phaseProf = flag.Bool("phase-profile", false, "profile per-worker phase times across all runs and print a shard-imbalance summary")
+		phaseProf = flag.Bool("phase-profile", false, "profile per-phase wall time (draw, tick, serial) across all runs and print a summary")
 	)
 	profFlags := prof.AddFlags()
 	flag.Parse()
@@ -86,17 +84,6 @@ func main() {
 		}
 		base.Policy = spec
 	}
-	// Budget the two parallelism levels against the machine: each of the
-	// -workers concurrent simulations spins up -run-workers threads, so
-	// the sweep default shrinks to keep the product near the core count.
-	base.Workers = *runWork
-	sweepWorkers := *workers
-	if sweepWorkers <= 0 && *runWork > 1 {
-		sweepWorkers = runtime.GOMAXPROCS(0) / *runWork
-		if sweepWorkers < 1 {
-			sweepWorkers = 1
-		}
-	}
 	if *quick {
 		base.WarmupCycles = 8000
 		base.MeasureCycles = 5000
@@ -129,7 +116,7 @@ func main() {
 		Patterns:     pats,
 		Modes:        ms,
 		Loads:        ls,
-		Workers:      sweepWorkers,
+		Workers:      *workers,
 		PhaseProfile: phaseAgg,
 		OnResult: func(s sweep.Series, p sweep.Point) {
 			n := done.Inc()

@@ -54,15 +54,14 @@ func main() {
 		cfgPath = flag.String("config", "", "load a JSON config file (flags override it)")
 		dump    = flag.String("dump-config", "", "write the effective config as JSON and exit")
 		journey = flag.Int("journey", 0, "after the run, print the traced journeys of N delivered packets")
-		workers = flag.Int("workers", 1, "intra-run worker threads (board-sharded; any count is bit-identical to 1)")
 
 		metricsOut = flag.String("metrics-out", "", "write per-window metrics as JSON Lines to this file")
 		eventsOut  = flag.String("events-out", "", "stream telemetry events as JSON Lines to this file")
 		perfetto   = flag.String("perfetto", "", "write a Chrome trace_event JSON (Perfetto-loadable) to this file")
 		dashboard  = flag.String("dashboard", "", "write a per-window HTML dashboard to this file")
 
-		phaseProf    = flag.Bool("phase-profile", false, "record per-worker, per-phase wall time and print a shard-imbalance report (bit-identical results)")
-		phaseProfOut = flag.String("phase-profile-out", "", "write the phase profiler's per-epoch series as JSON Lines (implies -phase-profile)")
+		phaseProf    = flag.Bool("phase-profile", false, "record per-phase wall time (draw, tick, serial) and print a summary (bit-identical results)")
+		phaseProfOut = flag.String("phase-profile-out", "", "write the phase profiler's per-window series as JSON Lines (implies -phase-profile)")
 	)
 	profFlags := prof.AddFlags()
 	flag.Parse()
@@ -99,7 +98,6 @@ func main() {
 	cfg.WarmupCycles = *warmup
 	cfg.MeasureCycles = *measure
 	cfg.DrainLimitCycles = *drain
-	cfg.Workers = *workers
 	cfg.PhaseProfile = *phaseProf || *phaseProfOut != ""
 	if *polFlag != "" {
 		spec, err := policy.ParseSpec(*polFlag)

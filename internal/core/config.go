@@ -117,20 +117,20 @@ type Config struct {
 	// service cache distinguishes runs by policy.
 	Policy *policy.Spec `json:"Policy,omitempty"`
 
-	// Workers is the intra-run worker count for board-sharded parallel
-	// stepping. 0 and 1 select the serial engine (the default); larger
-	// values run the compute phase of each cycle on up to min(Workers,
-	// Boards) cores. Any value produces bit-identical results: same seed,
-	// same Result, same telemetry stream.
+	// Workers is accepted and ignored.
+	//
+	// Deprecated: every run steps its cycles on one goroutine; run
+	// several configurations concurrently (sweep, compare, the service)
+	// for parallelism. The field stays so saved configs and HTTP bodies
+	// that carry it still parse, validate (negative values are rejected)
+	// and hit the same Digest.
 	Workers int `json:",omitempty"`
 
-	// PhaseProfile enables the engine's phase profiler: per-worker,
-	// per-phase wall time and barrier-wait time recorded once per epoch
-	// (see System.PhaseProfile). Like Workers it is an execution knob,
-	// not part of the simulated model, so it stays out of the canonical
-	// JSON and the content digest — but unlike Workers it is excluded
-	// from serialization entirely: wall-clock profiles are meaningless
-	// to replay.
+	// PhaseProfile enables the engine's phase profiler: per-phase wall
+	// time recorded once per reconfiguration window (see
+	// System.PhaseProfile). It is an execution knob, not part of the
+	// simulated model, so it is excluded from serialization and the
+	// content digest: wall-clock profiles are meaningless to replay.
 	PhaseProfile bool `json:"-"`
 }
 
@@ -365,7 +365,7 @@ func (c Config) Validate() error {
 		add("BurstDuty", "BurstDuty must be in [0,1]")
 	}
 	if c.Workers < 0 {
-		add("Workers", "Workers must be >= 0 (0 or 1 = serial); got %d", c.Workers)
+		add("Workers", "Workers must be >= 0 (the field is deprecated and ignored); got %d", c.Workers)
 	}
 	if top != nil {
 		if _, err := traffic.NewGrouped(c.Pattern, top.TotalNodes(), top.NodesPerBoard()); err != nil {

@@ -114,9 +114,9 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 
 // Digest returns a stable content address for the simulation this
 // configuration describes: the hex SHA-256 of the canonical JSON with
-// execution-only fields (Workers — any worker count is bit-identical)
-// zeroed. Two configs with equal digests produce byte-identical
-// Results; the service layer uses this as its result-cache key.
+// the deprecated, ignored Workers field zeroed. Two configs with equal
+// digests produce byte-identical Results; the service layer uses this
+// as its result-cache key.
 func (c Config) Digest() string {
 	n := c.normalized()
 	n.Workers = 0

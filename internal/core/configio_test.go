@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -158,13 +159,6 @@ func TestConfigDigest(t *testing.T) {
 	if cfg.Digest() != d {
 		t.Fatal("digest not stable across calls")
 	}
-	// Workers is execution-only: any worker count simulates
-	// bit-identically, so it must not change the content address.
-	par := cfg
-	par.Workers = 8
-	if par.Digest() != d {
-		t.Error("Workers changed the digest")
-	}
 	// Anything that changes the simulation changes the digest.
 	for name, mutate := range map[string]func(*Config){
 		"Mode":    func(c *Config) { c.Mode = NPNB },
@@ -178,6 +172,35 @@ func TestConfigDigest(t *testing.T) {
 		if m.Digest() == d {
 			t.Errorf("mutating %s did not change the digest", name)
 		}
+	}
+}
+
+// TestWorkersIgnored pins the deprecated Workers field: values from 0
+// up are accepted and change neither the content digest nor the run —
+// same Result, same telemetry stream — while a negative value is still
+// a validation error, since the field arrives from outside the program.
+func TestWorkersIgnored(t *testing.T) {
+	cfg := fastConfig(PB)
+	refRes, refEvs := runCapture(t, cfg)
+	for _, tc := range []struct {
+		workers int
+		valid   bool
+	}{{0, true}, {1, true}, {8, true}, {-1, false}} {
+		c := cfg
+		c.Workers = tc.workers
+		label := fmt.Sprintf("Workers=%d", tc.workers)
+		if !tc.valid {
+			var ve ValidationError
+			if _, err := NewSystem(c); !errors.As(err, &ve) || !strings.Contains(strings.Join(ve.Fields(), ","), "Workers") {
+				t.Errorf("%s: NewSystem error = %v, want a Workers ValidationError", label, err)
+			}
+			continue
+		}
+		if c.Digest() != cfg.Digest() {
+			t.Errorf("%s changed the digest", label)
+		}
+		res, evs := runCapture(t, c)
+		assertIdentical(t, label, refRes, refEvs, res, evs)
 	}
 }
 

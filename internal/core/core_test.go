@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/flit"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -20,6 +22,43 @@ func fastConfig(mode Mode) Config {
 	cfg.MeasureCycles = 3000
 	cfg.DrainLimitCycles = 60000
 	return cfg
+}
+
+// captureSink records every telemetry event in order.
+type captureSink struct{ evs []telemetry.Event }
+
+func (c *captureSink) Emit(ev telemetry.Event) { c.evs = append(c.evs, ev) }
+
+// runCapture executes one full run on a fresh system and returns the
+// Result plus the complete telemetry event stream.
+func runCapture(t *testing.T, cfg Config) (*Result, []telemetry.Event) {
+	t.Helper()
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	sink := &captureSink{}
+	s.AttachSink(sink)
+	res := s.Run()
+	return res, sink.evs
+}
+
+// assertIdentical fails unless a run's Result and telemetry stream match
+// the reference exactly (bit-identical floats included: DeepEqual
+// compares float64 by value with no tolerance).
+func assertIdentical(t *testing.T, label string, refRes *Result, refEvs []telemetry.Event, res *Result, evs []telemetry.Event) {
+	t.Helper()
+	if !reflect.DeepEqual(refRes, res) {
+		t.Errorf("%s: Result diverges from reference\nref: %+v\ngot: %+v", label, refRes, res)
+	}
+	if len(refEvs) != len(evs) {
+		t.Fatalf("%s: telemetry stream length %d, reference %d", label, len(evs), len(refEvs))
+	}
+	for i := range refEvs {
+		if refEvs[i] != evs[i] {
+			t.Fatalf("%s: telemetry event %d diverges\nref: %+v\ngot: %+v", label, i, refEvs[i], evs[i])
+		}
+	}
 }
 
 func TestModeParsing(t *testing.T) {

@@ -11,10 +11,6 @@
 // the per-cycle machinery does is provably a no-op and is skipped.
 // That turns the idle floor from "scan all components and tick the
 // clock" into "draw and compare" — the SimSpeedIdle row's speedup.
-//
-// Only the serial engine fast-forwards: parallel epochs pipeline
-// instead, and the two stepping modes stay bit-identical because both
-// reproduce the serial reference stream.
 package core
 
 import "repro/internal/traffic"

@@ -1,10 +1,9 @@
-// Phase profiler: per-worker, per-phase wall time for the epoch
-// engine, the evidence base for shard-balance tuning (ROADMAP open
-// item 1). When enabled (Config.PhaseProfile) every worker accumulates
-// the nanoseconds it spends in the two compute phases (injector draws,
-// board ticks), at barriers, and — worker 0 only — in the serial
-// sections; the totals are flushed into a dedicated telemetry Registry
-// once per epoch (parallel) or per reconfiguration window (serial).
+// Phase profiler: per-phase wall time of the cycle loop, the evidence
+// for where a run's time goes. When enabled (Config.PhaseProfile) the
+// cycle loop accumulates the nanoseconds it spends in three phases —
+// injector draws, component ticks, and the serial remainder (the cycle
+// head plus the history/telemetry observers) — and flushes the totals
+// into a dedicated telemetry Registry once per reconfiguration window.
 //
 // Off-path discipline: the profiler follows the PR-2 telemetry rule —
 // a nil *PhaseProfile is the disabled state, every hot-path hook is a
@@ -13,85 +12,46 @@
 // live only in the profiler's own registry, never in Result or the
 // run's telemetry stream, so a profiled run stays bit-identical to an
 // unprofiled one (and service result digests stay stable).
-//
-// Timing semantics: for workers other than 0, two consecutive barriers
-// bracket worker 0's serial section, so their barrier-wait time
-// captures both shard imbalance (waiting for a slower shard) and
-// serialization cost (waiting out the serial phases). For worker 0,
-// barrier time is purely waiting for the slowest shard.
 package core
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// phaseProfCap bounds how many flushed epochs/windows the profiler's
-// time series retain.
+// phaseProfCap bounds how many flushed windows the profiler's time
+// series retain.
 const phaseProfCap = 4096
 
-// ppWorker is one worker's phase accumulators, cache-line padded so
-// adjacent workers never share a line (each is written only by its
-// owning worker during an epoch).
-type ppWorker struct {
-	draw    int64 // compute phase A: injector RNG draws
-	tick    int64 // compute phase B: board component ticks
-	barrier int64 // waiting at phase barriers
-	serial  int64 // serial head/middle/commit (worker 0 only)
-	_       [32]byte
-}
-
-// PhaseProfile records per-worker phase wall time. Create it via
+// PhaseProfile records per-phase wall time. Create it via
 // Config.PhaseProfile; read it via System.PhaseProfile. A nil
 // PhaseProfile is the disabled state and every method is safe on it.
 type PhaseProfile struct {
 	reg    *telemetry.Registry
 	window uint64
-	w      []ppWorker
-	boards []int // boards per worker (shard widths)
-	epochs uint64
-	cycles uint64 // end cycle of the last flush
+	boards int
 
-	sDraw, sTick, sBarrier, sSerial []*telemetry.TimeSeries
+	draw, tick, serial int64 // cumulative nanoseconds per phase
+	windows            uint64
+	cycles             uint64 // end cycle of the last flush
+
+	sDraw, sTick, sSerial *telemetry.TimeSeries
 }
 
-// enablePhaseProfile builds the profiler for the system's effective
-// worker layout; call after enableParallel so the shard map is final.
+// enablePhaseProfile attaches a fresh profiler to the system.
 func (s *System) enablePhaseProfile() {
-	workers := 1
-	var boards []int
-	if s.par != nil {
-		workers = s.par.pool.Workers()
-		boards = make([]int, workers)
-		for id := range boards {
-			boards[id] = s.par.shardHi[id] - s.par.shardLo[id]
-		}
-	} else {
-		boards = []int{len(s.boards)}
-	}
 	pp := &PhaseProfile{
 		reg:    telemetry.NewRegistry(phaseProfCap),
 		window: s.cfg.Window,
-		w:      make([]ppWorker, workers),
-		boards: boards,
+		boards: len(s.boards),
 	}
-	pp.sDraw = make([]*telemetry.TimeSeries, workers)
-	pp.sTick = make([]*telemetry.TimeSeries, workers)
-	pp.sBarrier = make([]*telemetry.TimeSeries, workers)
-	pp.sSerial = make([]*telemetry.TimeSeries, workers)
-	for id := 0; id < workers; id++ {
-		prefix := fmt.Sprintf("worker%d/", id)
-		pp.sDraw[id] = pp.reg.Series(prefix+"draw_ns", "ns")
-		pp.sTick[id] = pp.reg.Series(prefix+"tick_ns", "ns")
-		pp.sBarrier[id] = pp.reg.Series(prefix+"barrier_ns", "ns")
-		pp.sSerial[id] = pp.reg.Series(prefix+"serial_ns", "ns")
-	}
+	pp.sDraw = pp.reg.Series("draw_ns", "ns")
+	pp.sTick = pp.reg.Series("tick_ns", "ns")
+	pp.sSerial = pp.reg.Series("serial_ns", "ns")
 	s.phaseProf = pp
 }
 
@@ -108,66 +68,49 @@ func (pp *PhaseProfile) start() time.Time {
 	return time.Now()
 }
 
-// addDraw credits compute phase A time to worker id.
-func (pp *PhaseProfile) addDraw(id int, t0 time.Time) {
+// addDraw credits injector-draw time.
+func (pp *PhaseProfile) addDraw(t0 time.Time) {
 	if pp == nil {
 		return
 	}
-	pp.w[id].draw += int64(time.Since(t0))
+	pp.draw += int64(time.Since(t0))
 }
 
-// addTick credits compute phase B time to worker id.
-func (pp *PhaseProfile) addTick(id int, t0 time.Time) {
+// addTick credits component-tick time.
+func (pp *PhaseProfile) addTick(t0 time.Time) {
 	if pp == nil {
 		return
 	}
-	pp.w[id].tick += int64(time.Since(t0))
+	pp.tick += int64(time.Since(t0))
 }
 
-// addSerial credits serial-section time to worker id (always 0 in the
-// parallel engine).
-func (pp *PhaseProfile) addSerial(id int, t0 time.Time) {
+// addSerial credits cycle-head and observer time.
+func (pp *PhaseProfile) addSerial(t0 time.Time) {
 	if pp == nil {
 		return
 	}
-	pp.w[id].serial += int64(time.Since(t0))
+	pp.serial += int64(time.Since(t0))
 }
 
-// barrier crosses the pool barrier, crediting the wait to worker id
-// when profiling; disabled it is exactly pool.Barrier().
-func (pp *PhaseProfile) barrier(p *sim.Pool, id int) {
-	if pp == nil {
-		p.Barrier()
-		return
-	}
-	pp.w[id].barrier += p.TimedBarrier()
-}
-
-// flush pushes every worker's cumulative totals as one sample per
-// series and marks the window. The parallel engine calls it once per
-// epoch after the pool joins (the join's happens-before makes the
-// workers' accumulators visible); the serial step calls it at window
-// boundaries. Cumulative samples make every series monotone — a
-// window's own cost is the delta between adjacent samples.
+// flush pushes the cumulative totals as one sample per series and
+// marks the window; the cycle loop calls it at window boundaries.
+// Cumulative samples make every series monotone — a window's own cost
+// is the delta between adjacent samples.
 func (pp *PhaseProfile) flush(endCycle uint64) {
 	if pp == nil {
 		return
 	}
-	pp.epochs++
+	pp.windows++
 	pp.cycles = endCycle
-	for id := range pp.w {
-		w := &pp.w[id]
-		pp.sDraw[id].Push(float64(w.draw))
-		pp.sTick[id].Push(float64(w.tick))
-		pp.sBarrier[id].Push(float64(w.barrier))
-		pp.sSerial[id].Push(float64(w.serial))
-	}
-	pp.reg.EndWindow(pp.epochs, endCycle)
+	pp.sDraw.Push(float64(pp.draw))
+	pp.sTick.Push(float64(pp.tick))
+	pp.sSerial.Push(float64(pp.serial))
+	pp.reg.EndWindow(pp.windows, endCycle)
 }
 
-// Registry exposes the profiler's time series (worker{N}/draw_ns,
-// tick_ns, barrier_ns, serial_ns — cumulative nanoseconds, one sample
-// per flushed epoch/window) for JSONL export.
+// Registry exposes the profiler's time series (draw_ns, tick_ns,
+// serial_ns — cumulative nanoseconds, one sample per flushed window)
+// for JSONL export.
 func (pp *PhaseProfile) Registry() *telemetry.Registry {
 	if pp == nil {
 		return nil
@@ -175,21 +118,19 @@ func (pp *PhaseProfile) Registry() *telemetry.Registry {
 	return pp.reg
 }
 
-// PhaseWorkerStats is one worker's accumulated phase wall time.
+// PhaseWorkerStats is the accumulated wall time per phase of the cycle
+// loop.
 type PhaseWorkerStats struct {
-	Worker    int
-	Boards    int
-	DrawNS    int64
-	TickNS    int64
-	BarrierNS int64
-	SerialNS  int64
+	Boards   int
+	DrawNS   int64
+	TickNS   int64
+	SerialNS int64
 }
 
-// ComputeNS is the worker's shard-proportional work: draws plus ticks.
-func (w PhaseWorkerStats) ComputeNS() int64 { return w.DrawNS + w.TickNS }
-
-// PhaseReport is a profiler snapshot: per-worker totals plus how many
-// epochs/cycles they cover.
+// PhaseReport is a profiler snapshot: the phase totals plus how many
+// flushed reconfiguration windows (Epochs) and cycles they cover.
+// Workers holds one entry, since every run steps its cycles on one
+// goroutine; a report with no data has none.
 type PhaseReport struct {
 	Workers []PhaseWorkerStats
 	Epochs  uint64
@@ -197,77 +138,41 @@ type PhaseReport struct {
 }
 
 // Report snapshots the current totals. Call it only between steps (or
-// after the run) — the accumulators are owned by the workers while an
-// epoch is in flight. A nil profiler reports zero values.
+// after the run). A nil profiler reports zero values.
 func (pp *PhaseProfile) Report() PhaseReport {
 	if pp == nil {
 		return PhaseReport{}
 	}
-	r := PhaseReport{Epochs: pp.epochs, Cycles: pp.cycles}
-	for id := range pp.w {
-		w := &pp.w[id]
-		r.Workers = append(r.Workers, PhaseWorkerStats{
-			Worker: id, Boards: pp.boards[id],
-			DrawNS: w.draw, TickNS: w.tick, BarrierNS: w.barrier, SerialNS: w.serial,
-		})
+	return PhaseReport{
+		Workers: []PhaseWorkerStats{{Boards: pp.boards, DrawNS: pp.draw, TickNS: pp.tick, SerialNS: pp.serial}},
+		Epochs:  pp.windows,
+		Cycles:  pp.cycles,
 	}
-	return r
 }
 
-// Imbalance returns the shard load-imbalance factor: the slowest
-// worker's compute time over the mean (1.0 = perfectly balanced, 0
-// when nothing was profiled).
-func (r PhaseReport) Imbalance() float64 {
-	if len(r.Workers) == 0 {
-		return 0
-	}
-	var sum, max int64
-	for _, w := range r.Workers {
-		c := w.ComputeNS()
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(r.Workers))
-	return float64(max) / mean
-}
-
-// PhaseAggregate merges the phase reports of many runs (a sweep's
-// points) by worker id. Safe for concurrent Add.
+// PhaseAggregate sums the phase reports of many runs (a sweep's
+// points). Safe for concurrent Add.
 type PhaseAggregate struct {
-	mu      sync.Mutex
-	runs    int
-	epochs  uint64
-	cycles  uint64
-	workers map[int]*PhaseWorkerStats
+	mu     sync.Mutex
+	runs   int
+	report PhaseReport
 }
 
 // Add folds one run's report into the aggregate.
 func (a *PhaseAggregate) Add(r PhaseReport) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.workers == nil {
-		a.workers = make(map[int]*PhaseWorkerStats)
-	}
 	a.runs++
-	a.epochs += r.Epochs
-	a.cycles += r.Cycles
+	a.report.Epochs += r.Epochs
+	a.report.Cycles += r.Cycles
 	for _, w := range r.Workers {
-		t := a.workers[w.Worker]
-		if t == nil {
-			t = &PhaseWorkerStats{Worker: w.Worker}
-			a.workers[w.Worker] = t
+		if len(a.report.Workers) == 0 {
+			a.report.Workers = []PhaseWorkerStats{{}}
 		}
-		if w.Boards > t.Boards {
-			t.Boards = w.Boards
-		}
+		t := &a.report.Workers[0]
+		t.Boards = max(t.Boards, w.Boards)
 		t.DrawNS += w.DrawNS
 		t.TickNS += w.TickNS
-		t.BarrierNS += w.BarrierNS
 		t.SerialNS += w.SerialNS
 	}
 }
@@ -279,52 +184,34 @@ func (a *PhaseAggregate) Runs() int {
 	return a.runs
 }
 
-// Report renders the merged totals as one PhaseReport, workers in id
-// order.
+// Report renders the summed totals as one PhaseReport.
 func (a *PhaseAggregate) Report() PhaseReport {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	r := PhaseReport{Epochs: a.epochs, Cycles: a.cycles}
-	ids := make([]int, 0, len(a.workers))
-	for id := range a.workers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		r.Workers = append(r.Workers, *a.workers[id])
-	}
+	r := a.report
+	r.Workers = append([]PhaseWorkerStats(nil), r.Workers...)
 	return r
 }
 
-// FormatPhaseReport writes the human-readable shard-imbalance summary
-// the -phase-profile CLI flags print: one row per worker with its
-// board count and per-phase wall time, then the imbalance factor and
-// the barrier/serial fractions that bound the achievable speedup.
+// FormatPhaseReport writes the human-readable summary the
+// -phase-profile CLI flags print: each phase's wall time and its share
+// of the total.
 func FormatPhaseReport(w io.Writer, r PhaseReport) {
 	if len(r.Workers) == 0 {
 		fmt.Fprintln(w, "phase profile: no data (profiler off or nothing stepped)")
 		return
 	}
-	fmt.Fprintf(w, "phase profile: %d workers, %d epochs, %d cycles\n",
-		len(r.Workers), r.Epochs, r.Cycles)
-	fmt.Fprintf(w, "  %-7s %6s %12s %12s %12s %12s\n",
-		"worker", "boards", "draw", "tick", "barrier", "serial")
-	var total int64
-	for _, ws := range r.Workers {
-		total += ws.DrawNS + ws.TickNS + ws.BarrierNS + ws.SerialNS
-		fmt.Fprintf(w, "  %-7d %6d %12s %12s %12s %12s\n",
-			ws.Worker, ws.Boards,
-			time.Duration(ws.DrawNS), time.Duration(ws.TickNS),
-			time.Duration(ws.BarrierNS), time.Duration(ws.SerialNS))
-	}
-	var barrier, serial int64
-	for _, ws := range r.Workers {
-		barrier += ws.BarrierNS
-		serial += ws.SerialNS
-	}
-	fmt.Fprintf(w, "  shard imbalance (max/mean compute)  %.3f\n", r.Imbalance())
-	if total > 0 {
-		fmt.Fprintf(w, "  barrier-wait fraction               %.1f%%\n", 100*float64(barrier)/float64(total))
-		fmt.Fprintf(w, "  serial fraction                     %.1f%%\n", 100*float64(serial)/float64(total))
+	ws := r.Workers[0]
+	fmt.Fprintf(w, "phase profile: %d boards, %d windows, %d cycles\n", ws.Boards, r.Epochs, r.Cycles)
+	total := ws.DrawNS + ws.TickNS + ws.SerialNS
+	for _, ph := range []struct {
+		name string
+		ns   int64
+	}{{"draw", ws.DrawNS}, {"tick", ws.TickNS}, {"serial", ws.SerialNS}} {
+		var share float64
+		if total > 0 {
+			share = 100 * float64(ph.ns) / float64(total)
+		}
+		fmt.Fprintf(w, "  %-7s %12s %6.1f%%\n", ph.name, time.Duration(ph.ns), share)
 	}
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // TestPhaseProfileDeterminism runs the same configuration with the
-// profiler off and on (serial and parallel) and asserts (a) the
-// Results are bit-identical — the profiler must never perturb the
-// simulation — and (b) the profiler's series exist, cover every
-// flushed epoch/window, and are monotone (they accumulate).
+// profiler off and on and asserts (a) the Results are bit-identical —
+// the profiler must never perturb the simulation — and (b) the
+// profiler's series exist, cover every flushed window, and are
+// monotone (they accumulate).
 func TestPhaseProfileDeterminism(t *testing.T) {
 	cfg := fastConfig(PB)
 	cfg.Pattern = "complement"
@@ -19,73 +19,52 @@ func TestPhaseProfileDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		c := cfg
-		c.Workers = workers
-		c.PhaseProfile = true
-		s, err := NewSystem(c)
-		if err != nil {
-			t.Fatal(err)
+	c := cfg
+	c.PhaseProfile = true
+	s, err := NewSystem(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.RunContext(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base, res) {
+		t.Error("profiled Result differs from unprofiled run")
+	}
+	pp := s.PhaseProfile()
+	if pp == nil {
+		t.Fatal("PhaseProfile() is nil with Config.PhaseProfile set")
+	}
+	rep := pp.Report()
+	if rep.Epochs == 0 || rep.Cycles == 0 {
+		t.Fatalf("nothing profiled: %+v", rep)
+	}
+	if len(rep.Workers) != 1 {
+		t.Fatalf("report has %d entries, want 1", len(rep.Workers))
+	}
+	w := rep.Workers[0]
+	if w.Boards != c.Boards {
+		t.Errorf("report covers %d boards, want %d", w.Boards, c.Boards)
+	}
+	if w.DrawNS <= 0 || w.TickNS <= 0 || w.SerialNS <= 0 {
+		t.Errorf("a phase recorded no time: %+v", w)
+	}
+	reg := pp.Registry()
+	marks := len(reg.Windows())
+	if marks == 0 {
+		t.Fatal("no flushed windows")
+	}
+	for _, name := range reg.SeriesNames() {
+		ts := reg.Lookup(name)
+		if ts.Len() != marks {
+			t.Errorf("series %s has %d samples, want %d", name, ts.Len(), marks)
 		}
-		wantWorkers := s.Workers() // before RunContext closes the pool
-		res, err := s.RunContext(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, res) {
-			t.Errorf("workers=%d: profiled Result differs from unprofiled serial run", workers)
-		}
-		pp := s.PhaseProfile()
-		if pp == nil {
-			t.Fatalf("workers=%d: PhaseProfile() is nil with Config.PhaseProfile set", workers)
-		}
-		rep := pp.Report()
-		if rep.Epochs == 0 || rep.Cycles == 0 {
-			t.Fatalf("workers=%d: nothing profiled: %+v", workers, rep)
-		}
-		if got := len(rep.Workers); got != wantWorkers {
-			t.Fatalf("workers=%d: report has %d workers, system has %d", workers, got, wantWorkers)
-		}
-		boards := 0
-		for _, w := range rep.Workers {
-			boards += w.Boards
-		}
-		if boards != c.Boards {
-			t.Errorf("workers=%d: shard widths sum to %d boards, want %d", workers, boards, c.Boards)
-		}
-		reg := pp.Registry()
-		marks := len(reg.Windows())
-		if marks == 0 {
-			t.Fatalf("workers=%d: no flushed windows", workers)
-		}
-		for _, name := range reg.SeriesNames() {
-			ts := reg.Lookup(name)
-			if ts.Len() != marks {
-				t.Errorf("workers=%d: series %s has %d samples, want %d", workers, name, ts.Len(), marks)
-			}
-			vals := ts.Values()
-			for i := 1; i < len(vals); i++ {
-				if vals[i] < vals[i-1] {
-					t.Errorf("workers=%d: series %s not monotone at %d: %v < %v",
-						workers, name, i, vals[i], vals[i-1])
-					break
-				}
-			}
-		}
-		// The shard-proportional phases must have recorded real time on
-		// every worker.
-		for _, w := range rep.Workers {
-			if w.ComputeNS() <= 0 {
-				t.Errorf("workers=%d: worker %d recorded no compute time", workers, w.Worker)
-			}
-		}
-		if workers > 1 {
-			// Non-zero workers wait out worker 0's serial sections, so
-			// their barrier time cannot be zero on a real run.
-			for _, w := range rep.Workers[1:] {
-				if w.BarrierNS <= 0 {
-					t.Errorf("workers=%d: worker %d recorded no barrier time", workers, w.Worker)
-				}
+		vals := ts.Values()
+		for i := 1; i < len(vals); i++ {
+			if vals[i] < vals[i-1] {
+				t.Errorf("series %s not monotone at %d: %v < %v", name, i, vals[i], vals[i-1])
+				break
 			}
 		}
 	}
@@ -145,38 +124,29 @@ func TestPhaseAggregate(t *testing.T) {
 	var agg PhaseAggregate
 	agg.Add(PhaseReport{
 		Epochs: 2, Cycles: 1000,
-		Workers: []PhaseWorkerStats{
-			{Worker: 0, Boards: 2, DrawNS: 10, TickNS: 30, BarrierNS: 5, SerialNS: 20},
-			{Worker: 1, Boards: 2, DrawNS: 12, TickNS: 28, BarrierNS: 9},
-		},
+		Workers: []PhaseWorkerStats{{Boards: 4, DrawNS: 10, TickNS: 30, SerialNS: 20}},
 	})
 	agg.Add(PhaseReport{
 		Epochs: 3, Cycles: 1500,
-		Workers: []PhaseWorkerStats{
-			{Worker: 0, Boards: 2, DrawNS: 1, TickNS: 1, BarrierNS: 1, SerialNS: 1},
-		},
+		Workers: []PhaseWorkerStats{{Boards: 4, DrawNS: 1, TickNS: 1, SerialNS: 1}},
 	})
-	if agg.Runs() != 2 {
+	agg.Add(PhaseReport{}) // a run with the profiler off
+	if agg.Runs() != 3 {
 		t.Fatalf("runs = %d", agg.Runs())
 	}
 	r := agg.Report()
 	if r.Epochs != 5 || r.Cycles != 2500 {
-		t.Fatalf("merged epochs/cycles = %d/%d", r.Epochs, r.Cycles)
+		t.Fatalf("merged windows/cycles = %d/%d", r.Epochs, r.Cycles)
 	}
-	if len(r.Workers) != 2 || r.Workers[0].Worker != 0 || r.Workers[1].Worker != 1 {
-		t.Fatalf("merged workers = %+v", r.Workers)
-	}
-	if r.Workers[0].DrawNS != 11 || r.Workers[0].TickNS != 31 {
-		t.Fatalf("worker 0 totals = %+v", r.Workers[0])
-	}
-	if im := r.Imbalance(); im <= 1 {
-		t.Fatalf("imbalance = %v, want > 1 for uneven shards", im)
+	want := []PhaseWorkerStats{{Boards: 4, DrawNS: 11, TickNS: 31, SerialNS: 21}}
+	if !reflect.DeepEqual(r.Workers, want) {
+		t.Fatalf("merged totals = %+v, want %+v", r.Workers, want)
 	}
 
 	var buf strings.Builder
 	FormatPhaseReport(&buf, r)
 	out := buf.String()
-	for _, want := range []string{"2 workers", "shard imbalance", "barrier-wait fraction", "serial fraction"} {
+	for _, want := range []string{"4 boards", "5 windows", "2500 cycles", "draw", "tick", "serial", "%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

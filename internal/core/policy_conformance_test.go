@@ -15,7 +15,7 @@ import (
 
 // This file is the policy conformance battery: every policy registered
 // in internal/policy is pushed through the engine's core invariants —
-// worker-count determinism, faulted flit conservation, the supply-power
+// run-to-run determinism, faulted flit conservation, the supply-power
 // bound, and allocation-freedom of the steady-state paths. The test
 // list comes from policy.Names(), so registering a new policy enrolls
 // it here with no test changes.
@@ -32,12 +32,10 @@ func conformanceConfig(mode Mode, name string) Config {
 	return cfg
 }
 
-// TestPolicyConformanceDeterminism runs every registered policy in all
-// four network modes and checks that worker counts 1, 2 and 8 are
-// bit-identical to the serial engine. Policies execute inside the RC
-// processes, which run in serial phases, so any divergence means a
-// policy broke the purity contract (internal randomness, wall-clock
-// input, or cross-board shared state).
+// TestPolicyConformanceDeterminism runs every registered policy twice
+// in all four network modes and checks the runs are bit-identical. Any
+// divergence means a policy broke the purity contract (internal
+// randomness, wall-clock input, or map iteration order).
 func TestPolicyConformanceDeterminism(t *testing.T) {
 	for _, name := range policy.Names() {
 		for _, mode := range Modes() {
@@ -45,21 +43,17 @@ func TestPolicyConformanceDeterminism(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", name, mode), func(t *testing.T) {
 				t.Parallel()
 				cfg := conformanceConfig(mode, name)
-				serial, err := Run(cfg)
+				first, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, workers := range []int{1, 2, 8} {
-					wcfg := cfg
-					wcfg.Workers = workers
-					got, err := Run(wcfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(serial, got) {
-						t.Fatalf("policy %s mode %s: Workers=%d diverged from serial:\nserial:  %+v\nworkers: %+v",
-							name, mode, workers, serial, got)
-					}
+				second, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(first, second) {
+					t.Fatalf("policy %s mode %s: repeated run diverged:\nfirst:  %+v\nsecond: %+v",
+						name, mode, first, second)
 				}
 			})
 		}
@@ -116,20 +110,18 @@ func TestPolicyConformanceFaultedConservation(t *testing.T) {
 			if supply, bound := s.Fabric().Meter().AvgSupplyMW(), s.Fabric().SupplyBoundMW(); supply > bound {
 				t.Fatalf("policy %s: supply %f exceeds all-top bound %f", name, supply, bound)
 			}
-			// Faulted runs must also be worker-independent: the policy sees
-			// identical observations regardless of sharding.
-			serial, err := Run(cfg)
+			// Faulted runs must also be repeatable: the fault injector's
+			// draws and the policy's decisions depend only on the seed.
+			first, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wcfg := cfg
-			wcfg.Workers = 8
-			par, err := Run(wcfg)
+			second, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("policy %s: faulted run diverged between serial and Workers=8", name)
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("policy %s: repeated faulted run diverged", name)
 			}
 		})
 	}

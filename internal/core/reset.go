@@ -28,8 +28,8 @@ import (
 // fields are exactly those baked into retained slabs at construction:
 // the topology, the electrical router shape, the packet format and the
 // optical fabric parameters. Everything else — mode, policy, window,
-// workload, seed, faults, measurement spans, workers — is per-run
-// state that Reset rebuilds.
+// workload, seed, faults, measurement spans — is per-run state that
+// Reset rebuilds.
 func resetIncompat(old, cfg Config) string {
 	switch {
 	case cfg.Clusters != old.Clusters, cfg.Boards != old.Boards, cfg.NodesPerBoard != old.NodesPerBoard:
@@ -48,7 +48,7 @@ func resetIncompat(old, cfg Config) string {
 // ResetCompatible reports whether cfg can be applied to this system by
 // Reset: the topology and every slab-shaping parameter must match the
 // system's current configuration. Mode, policy, window, workload,
-// seed, faults, measurement spans and worker count may all differ.
+// seed, faults and measurement spans may all differ.
 func (s *System) ResetCompatible(cfg Config) bool {
 	return resetIncompat(s.cfg, cfg) == ""
 }
@@ -76,13 +76,8 @@ func (s *System) Reset(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	// Tear down live execution state. The old worker pool is closed (a
-	// completed run's teardown already did; Close is idempotent) and the
-	// engine and fabric rewind in place.
-	if s.par != nil {
-		s.par.pool.Close()
-		s.par = nil
-	}
+	// Tear down live execution state: the engine and fabric rewind in
+	// place.
 	s.eng.Reset()
 	s.fab.Reset()
 	// Rebuild the control plane: RC processes are engine processes (the
@@ -152,9 +147,6 @@ func (s *System) Reset(cfg Config) error {
 	}
 	if err := s.buildInjectors(); err != nil {
 		return err
-	}
-	if cfg.Workers > 1 {
-		s.enableParallel(cfg.Workers)
 	}
 	if cfg.PhaseProfile {
 		s.enablePhaseProfile()

@@ -8,7 +8,7 @@ import (
 )
 
 // runReset resets s to cfg, runs it, and returns the Result plus the
-// telemetry stream (the same capture runWorkers does on a fresh
+// telemetry stream (the same capture runCapture does on a fresh
 // system).
 func runReset(t *testing.T, s *System, cfg Config) (*Result, []telemetry.Event) {
 	t.Helper()
@@ -30,7 +30,7 @@ func TestResetMatchesNewSystem(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := fastConfig(mode)
-			refRes, refEvs := runWorkers(t, cfg, 1)
+			refRes, refEvs := runCapture(t, cfg)
 			// Dirty the pooled system with a different seed first so the
 			// reset has real state to rewind.
 			dirty := cfg
@@ -82,35 +82,17 @@ func TestResetReusedAcrossRuns(t *testing.T) {
 		}()},
 	}
 	for _, tc := range cfgs {
-		refRes, refEvs := runWorkers(t, tc.cfg, 1)
+		refRes, refEvs := runCapture(t, tc.cfg)
 		res, evs := runReset(t, s, tc.cfg)
 		assertIdentical(t, "reuse "+tc.label, refRes, refEvs, res, evs)
 	}
-}
-
-// TestResetParallel covers reuse across worker counts: a serial system
-// reset to a parallel config (fresh pool, fresh outboxes) and back.
-func TestResetParallel(t *testing.T) {
-	cfg := fastConfig(PB)
-	refRes, refEvs := runWorkers(t, cfg, 1)
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	par := cfg
-	par.Workers = 4
-	res, evs := runReset(t, s, par)
-	assertIdentical(t, "reset to parallel", refRes, refEvs, res, evs)
-	res, evs = runReset(t, s, cfg)
-	assertIdentical(t, "reset back to serial", refRes, refEvs, res, evs)
 }
 
 // TestResetSeed pins the replication fast path.
 func TestResetSeed(t *testing.T) {
 	cfg := fastConfig(PB)
 	cfg.Seed = 7
-	refRes, refEvs := runWorkers(t, cfg, 1)
+	refRes, refEvs := runCapture(t, cfg)
 	s, err := NewSystem(fastConfig(PB))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +115,6 @@ func TestResetIncompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	reject := []struct {
 		label  string
 		mutate func(*Config)
@@ -159,12 +140,10 @@ func TestResetIncompatible(t *testing.T) {
 	accept.Mode = NPNB
 	accept.Window = cfg.Window * 2
 	accept.Seed = 42
-	accept.Workers = 2
 	if !s.ResetCompatible(accept) {
 		t.Error("per-run field changes reported incompatible")
 	}
 	if err := s.Reset(accept); err != nil {
 		t.Errorf("per-run field changes rejected: %v", err)
 	}
-	s.Close()
 }

@@ -58,12 +58,10 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	var now uint64
 	var cancelled error
 	for {
-		// Step in epochs that run to the next reconfiguration-window
-		// boundary (or the cycle limit). On a parallel system that is one
-		// pool dispatch per epoch instead of per cycle; on a serial system
-		// it gives the idle fast-forward a full window to consume. Both
-		// paths check measurement Done after each cycle, so all modes stop
-		// on the same cycle.
+		// Step in batches that run to the next reconfiguration-window
+		// boundary (or the cycle limit), which gives the idle fast-forward
+		// a full window to consume. StepN checks measurement Done after
+		// each cycle, so the run stops on the same cycle at any batching.
 		n := window - s.nextCycle%window
 		if rem := limit + 1 - s.nextCycle; rem < n {
 			n = rem
@@ -88,10 +86,8 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	}
 	s.eng.Stop()
 	res := s.result(now, truncated)
-	// Release the RC process goroutines and the worker pool: the run is
-	// complete.
+	// Release the RC process goroutines: the run is complete.
 	s.eng.Shutdown()
-	s.Close()
 	if cancelled != nil {
 		return res, &CancelledError{Window: (now + 1) / window, Cycle: now + 1, Cause: cancelled}
 	}

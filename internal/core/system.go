@@ -37,11 +37,6 @@ type System struct {
 	nics      []*link.PacketSource // indexed by global node id
 	nextPkt   flit.PacketID
 
-	// par is the parallel-stepping state (worker pool and per-board
-	// outboxes); nil on serial systems (Workers <= 1), which keeps the
-	// serial step on the exact pre-parallel code path.
-	par *parState
-
 	// freePkts recycles delivered, untraced packets (and their flit
 	// slabs) so the steady-state injection path allocates nothing.
 	freePkts []*flit.Packet
@@ -76,9 +71,9 @@ type System struct {
 	sinks []telemetry.Sink
 	// telemetry is the per-window metrics collector (EnableTelemetry).
 	telemetry *Telemetry
-	// phaseProf records per-worker phase/barrier wall time; nil unless
-	// Config.PhaseProfile — the nil check is the entire disabled cost
-	// (see phaseprof.go).
+	// phaseProf records per-phase wall time; nil unless
+	// Config.PhaseProfile — the nil check is the entire disabled cost (see
+	// phaseprof.go).
 	phaseProf *PhaseProfile
 	// lastPhase tracks measurement phase transitions for PhaseChange
 	// events (-1 = none emitted yet).
@@ -95,16 +90,15 @@ type board struct {
 	rxSources []*link.PacketSource // index w-1
 	rrW       int                  // tie-break rotation for route choices
 	// routeWS is the board's reusable route-choice wavelength scratch
-	// buffer; per board so concurrent IBI ticks never share it.
+	// buffer.
 	routeWS []int
 }
 
 // NewSystem validates the configuration and assembles the network. A
 // config selecting the oracle-static policy first runs a profiling
-// pre-pass (serial, healthy, same seed and traffic) whose averaged
+// pre-pass (healthy, same seed and traffic) whose averaged
 // window statistics the oracle plans its fixed allocation from; the
-// pre-pass is deterministic, so the main run stays bit-identical
-// across worker counts.
+// pre-pass is deterministic, so the main run is too.
 func NewSystem(cfg Config) (*System, error) {
 	if cfg.MultiTier() {
 		return nil, fmt.Errorf("core: a System models one SRS tier; run multi-tier configs through Run/RunContext or NewHier")
@@ -179,11 +173,7 @@ func newSystem(cfg Config, newPol func(board int) policy.Policy) (*System, error
 		return nil, err
 	}
 	s.pktBlock = flit.NewBlock((&flit.Packet{Size: cfg.PacketBytes, FlitBytes: cfg.FlitBytes}).Flits())
-	if cfg.Workers > 1 {
-		s.enableParallel(cfg.Workers)
-	}
 	if cfg.PhaseProfile {
-		// After enableParallel: the profiler snapshots the shard layout.
 		s.enablePhaseProfile()
 	}
 	return s, nil
@@ -229,17 +219,7 @@ func (s *System) assemble() error {
 			nic.OnDequeue = func(p *flit.Packet, now uint64) {
 				p.NetworkAt = now
 				if s.tel != nil {
-					if par := s.par; par != nil && par.computing {
-						// Compute phase: record just the packet ID in the source
-						// board's outbox (cycle and board are implied by the
-						// commit point and the outbox index); the commit drains
-						// boards in ascending order, which reproduces the serial
-						// all-NICs node-order stream.
-						ob := &par.outboxes[p.SrcBoard]
-						ob.netEnter = append(ob.netEnter, uint64(p.ID))
-					} else {
-						s.tel.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketNetEnter, Packet: uint64(p.ID), Board: p.SrcBoard, Wavelength: -1, Dest: -1})
-					}
+					s.tel.Emit(telemetry.Event{Cycle: now, Kind: telemetry.PacketNetEnter, Packet: uint64(p.ID), Board: p.SrcBoard, Wavelength: -1, Dest: -1})
 				}
 			}
 			bd.ibi.SetInputCreditSink(n, nic)
@@ -355,24 +335,9 @@ func (s *System) routeFunc(bd *board) router.RouteFunc {
 	}
 }
 
-// onDeliver is the ejection callback. During a parallel compute phase
-// it only buffers the delivery in the destination board's outbox (the
-// shared measurement, stats and telemetry state it feeds is
-// order-sensitive); the commit phase replays the outboxes through
-// deliverNow in canonical board order, which is exactly the order the
-// serial per-board IBI ticks produce deliveries in.
+// onDeliver is the ejection callback: it stamps a delivered packet and
+// feeds the measurement.
 func (s *System) onDeliver(p *flit.Packet, now uint64) {
-	if par := s.par; par != nil && par.computing {
-		ob := &par.outboxes[p.DstBoard]
-		ob.delivered = append(ob.delivered, pendingDeliver{p: p, at: now})
-		return
-	}
-	s.deliverNow(p, now)
-}
-
-// deliverNow stamps a delivered packet and feeds the measurement; it
-// always runs in a serial phase.
-func (s *System) deliverNow(p *flit.Packet, now uint64) {
 	p.ReceivedAt = now
 	s.delivered++
 	if s.meas.Phase() == stats.Measure {
@@ -420,8 +385,7 @@ func (s *System) injectAll(now uint64) {
 
 // injectOne admits one packet from node n to dst: packet IDs, labeling,
 // pool recycling and the inject event all happen here, in global node
-// order — serially in both stepping modes (the parallel path only draws
-// the RNG decisions concurrently).
+// order.
 func (s *System) injectOne(n, dst int, now uint64) {
 	s.nextPkt++
 	var p *flit.Packet
@@ -449,9 +413,9 @@ func (s *System) injectOne(n, dst int, now uint64) {
 	s.nics[n].Enqueue(p)
 }
 
-// stepHead is the serial head of a cycle, identical in both stepping
-// modes: control-plane engine events, due optical deliveries, fault
-// strikes, measurement phase advance and the metering switch.
+// stepHead is the head of a cycle: control-plane engine events, due
+// optical deliveries, fault strikes, measurement phase advance and the
+// metering switch.
 func (s *System) stepHead(now uint64) {
 	s.eng.RunUntil(now)
 	// Completed optical transmissions enqueue into the rx sources before
@@ -482,17 +446,15 @@ func (s *System) stepHead(now uint64) {
 	}
 }
 
-// step advances the whole system by one cycle, serially. Parallel
-// systems step through stepEpoch instead (Step and RunContext
-// dispatch).
+// step advances the whole system by one cycle.
 func (s *System) step(now uint64) {
 	pp := s.phaseProf
 	t0 := pp.start()
 	s.stepHead(now)
-	pp.addSerial(0, t0)
+	pp.addSerial(t0)
 	t0 = pp.start()
 	s.injectAll(now)
-	pp.addDraw(0, t0)
+	pp.addDraw(t0)
 	// Active-set scheduling: visit components in the same deterministic
 	// order as the exhaustive scan, skipping the ones that provably have
 	// nothing to do this cycle (HasWork is O(1) on maintained counters; a
@@ -514,7 +476,7 @@ func (s *System) step(now uint64) {
 		}
 	}
 	s.fab.Tick(now)
-	pp.addTick(0, t0)
+	pp.addTick(t0)
 	t0 = pp.start()
 	if s.history != nil {
 		s.history.observe(now)
@@ -522,7 +484,7 @@ func (s *System) step(now uint64) {
 	if s.telemetry != nil {
 		s.telemetry.observe(now)
 	}
-	pp.addSerial(0, t0)
+	pp.addSerial(t0)
 	if pp != nil && (now+1)%pp.window == 0 {
 		pp.flush(now + 1)
 	}
@@ -622,13 +584,8 @@ func (o fabObserver) LaserLevel(sb, w, d, from, to int, now uint64) {
 
 // SetInjectionRate changes every node's mean injection rate mid-run
 // (phased-load experiments such as the Fig. 3 design-space demo). rate
-// is in packets/node/cycle. On a parallel system any speculatively
-// staged draws were made under the old rate, so they are discarded
-// first: the injector streams rewind to their pre-draw snapshots and
-// the next epoch redraws the cycle at the new rate — exactly what a
-// serial system stepping past this call would do.
+// is in packets/node/cycle and applies from the next simulated cycle.
 func (s *System) SetInjectionRate(rate float64) {
-	s.invalidateSpec()
 	for _, src := range s.injectors {
 		switch inj := src.(type) {
 		case *traffic.Injector:
@@ -641,12 +598,8 @@ func (s *System) SetInjectionRate(rate float64) {
 
 // Step advances the whole system by exactly one cycle and returns the
 // cycle just simulated. It is the building block for custom drivers
-// (e.g. the design-space time-series example); Run steps parallel
-// systems in window-sized epochs instead, amortizing the pool dispatch.
+// (e.g. the design-space time-series example).
 func (s *System) Step() uint64 {
-	if s.par != nil {
-		return s.stepEpoch(1)
-	}
 	now := s.nextCycle
 	s.step(now)
 	s.nextCycle++
@@ -654,20 +607,14 @@ func (s *System) Step() uint64 {
 }
 
 // StepN advances the system up to n cycles (stopping early if the
-// measurement reaches Done) and returns the last cycle simulated. On a
-// parallel system the whole batch is one pool epoch — one worker
-// dispatch for all n cycles — which is how Run steps between window
-// boundaries; custom drivers that don't need per-cycle control should
-// prefer it over calling Step n times. A serial system fast-forwards
-// analytically through provably idle stretches of the batch (see
-// fastforward.go); the result is bit-identical to stepping every
-// cycle.
+// measurement reaches Done) and returns the last cycle simulated. It
+// fast-forwards analytically through provably idle stretches of the
+// batch (see fastforward.go); the result is bit-identical to stepping
+// every cycle, so custom step loops that don't need per-cycle control
+// should prefer it over calling Step n times.
 func (s *System) StepN(n uint64) uint64 {
 	if n == 0 {
 		return s.cycle
-	}
-	if s.par != nil {
-		return s.stepEpoch(n)
 	}
 	end := s.nextCycle + n
 	ff := s.ffEligible()

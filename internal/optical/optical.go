@@ -92,11 +92,9 @@ func (c Config) normalize() Config {
 // Channel is one incoming wavelength at one destination board: the fiber
 // segment from the couplers into receiver (d, w).
 //
-// Channels of one destination live in a contiguous slab, but adjacent
-// channels are driven — and their busyUntil written, from the compute
-// phase — by different holder boards, i.e. different workers; the pad
-// rounds the struct to a full cache line so those writes never share
-// one.
+// Channels of one destination live in a contiguous slab, each padded
+// to a full cache line. Removing the pad is a layout change that needs
+// its own speed measurement.
 type Channel struct {
 	d, w      int
 	holder    int
@@ -238,13 +236,7 @@ func (l *Laser) SetLevel(level int, now, relockCycles uint64) {
 	if l.fab != nil {
 		l.fab.refreshIdle(l)
 		if l.fab.observer != nil {
-			if dp := l.fab.deferring(); dp != nil {
-				lg := &dp.logs[l.s]
-				ev := lg.events()
-				*ev = append(*ev, evOp{kind: evLevel, w: int32(l.w), d: int32(l.d), from: int32(from), to: int32(level)})
-			} else {
-				l.fab.observer.LaserLevel(l.s, l.w, l.d, from, level, now)
-			}
+			l.fab.observer.LaserLevel(l.s, l.w, l.d, from, level, now)
 		}
 	}
 }
@@ -281,9 +273,8 @@ type Fabric struct {
 	deliver [][]DeliverFunc // [d][w]
 
 	// shards holds the per-board mutable tick state (active and
-	// deferred-deactivation lists), one padded struct per board so the
-	// slice headers two workers rewrite every cycle never share a cache
-	// line. shards[s].active holds, in canonical (w, d) order, every
+	// deferred-deactivation lists), one padded struct per board.
+	// shards[s].active holds, in canonical (w, d) order, every
 	// laser of board s with queued packets or an in-flight
 	// serialization. Only these are ticked. Iterating boards in
 	// ascending order visits lasers in exactly the canonical (s, w, d)
@@ -298,11 +289,6 @@ type Fabric struct {
 	// optical transmissions awaiting delivery; DeliverDue drains it.
 	delHeap []delivery
 	delSeq  uint64
-
-	// par holds the deferred side-effect logs for parallel board ticking;
-	// nil on serial fabrics (the serial hot path pays one nil check per
-	// deferral point).
-	par *fabPar
 
 	meter        *power.Meter
 	meterEnabled bool
@@ -323,14 +309,13 @@ type Fabric struct {
 // boardShard is one board's per-tick mutable list state: the active
 // lasers and the lasers leaving the active list within a Tick (their
 // idle-aggregate refresh is deferred past the cycle's idle-power
-// sample). The pad keeps adjacent boards' slice headers — rewritten by
-// different workers every cycle under parallel stepping — on disjoint
-// cache lines.
+// sample). The pad rounds the struct to a full cache line; removing it
+// is a layout change that needs its own speed measurement.
 type boardShard struct {
 	active []*Laser
 	deact  []*Laser
 	// txFlits counts flits buffered across this board's transmitter
-	// reassembly buffers, maintained by the shard's owner so Quiescent
+	// reassembly buffers, maintained by its transmitters so Quiescent
 	// needs no O(B²) transmitter scan.
 	txFlits int
 	_       [64 - 2*24 - 8]byte
@@ -379,7 +364,7 @@ func NewFabric(top *topology.Topology, eng *sim.Engine, cfg Config) (*Fabric, er
 	}
 	// Lasers are laid out struct-of-arrays per source board: one
 	// contiguous slab holds every populated laser of board s, so the
-	// working set a single worker walks each cycle is dense instead of
+	// working set one board's tick walks each cycle is dense instead of
 	// scattered across b² heap objects.
 	f.lasers = make([][][]*Laser, b)
 	for s := 0; s < b; s++ {
@@ -424,7 +409,7 @@ func NewFabric(top *topology.Topology, eng *sim.Engine, cfg Config) (*Fabric, er
 	}
 	for s := 0; s < b; s++ {
 		// Per-board transmitter slabs: a board's b-1 transmitters are
-		// walked together by the board's worker every cycle.
+		// walked together by the board's tick every cycle.
 		txSlab := make([]Transmitter, b-1)
 		for w := 1; w < b; w++ {
 			tx := &txSlab[w-1]
@@ -445,7 +430,6 @@ func NewFabric(top *topology.Topology, eng *sim.Engine, cfg Config) (*Fabric, er
 // own). All slab and queue backing arrays are retained, so the reset
 // fabric runs without reallocating its steady-state structures.
 func (f *Fabric) Reset() {
-	f.assertSerialPhase("Reset")
 	b := f.top.Boards()
 	for d := 0; d < b; d++ {
 		for w := 1; w < b; w++ {
@@ -523,30 +507,6 @@ func (f *Fabric) Reset() {
 	f.wakes = 0
 	f.observer = nil
 	f.dropHook = nil
-	if p := f.par; p != nil {
-		p.computing = false
-		for i := range p.logs {
-			lg := &p.logs[i]
-			for j := range lg.txEvents {
-				lg.txEvents[j].p = nil
-			}
-			lg.txEvents = lg.txEvents[:0]
-			for j := range lg.laserEvents {
-				lg.laserEvents[j].p = nil
-			}
-			lg.laserEvents = lg.laserEvents[:0]
-			for ph := range lg.idle {
-				lg.idle[ph] = lg.idle[ph][:0]
-			}
-			lg.meter = lg.meter[:0]
-			for j := range lg.deliver {
-				lg.deliver[j].p = nil
-			}
-			lg.deliver = lg.deliver[:0]
-			lg.wakes = 0
-			lg.cur = 0
-		}
-	}
 }
 
 // litIdleMW returns the supply power an idle laser currently draws: its
@@ -561,22 +521,14 @@ func (f *Fabric) litIdleMW(l *Laser) float64 {
 
 // refreshIdle re-derives one laser's contribution to the idle-laser
 // supply aggregate after any change to its level, holder or active
-// status. During a parallel compute phase the (order-sensitive) float
-// update of the shared aggregate is deferred to the commit replay; the
-// delta itself is computed here, at the same semantic point as the
-// serial path, so the replayed addition sequence is bit-identical.
+// status.
 func (f *Fabric) refreshIdle(l *Laser) {
 	c := f.litIdleMW(l)
 	if c == l.idleContrib {
 		return
 	}
-	delta := c - l.idleContrib
+	f.idleLitMW += c - l.idleContrib
 	l.idleContrib = c
-	if p := f.deferring(); p != nil {
-		p.logs[l.s].addIdle(delta)
-		return
-	}
-	f.idleLitMW += delta
 }
 
 // syncStats fills in the idle span [l.statsAt, now) of a laser's window
@@ -713,7 +665,6 @@ func (f *Fabric) EnableMetering(on bool) { f.meterEnabled = on }
 // policy) guarantee this by only re-allocating under-utilized channels.
 // The acquiring laser starts at the given level with a relock window.
 func (f *Fabric) Reassign(d, w, newHolder int, level int, now uint64) error {
-	f.assertSerialPhase("Reassign")
 	ch := f.channels[d][w]
 	if newHolder == d {
 		return fmt.Errorf("optical: cannot assign channel (%d,λ%d) to its own destination", d, w)
@@ -762,7 +713,6 @@ func (f *Fabric) Reassign(d, w, newHolder int, level int, now uint64) error {
 // the transmitter drop packets routed to it; a transient failure holds
 // its queue until RestoreLaser.
 func (f *Fabric) FailLaser(s, w, d int, permanent bool, now uint64) {
-	f.assertSerialPhase("FailLaser")
 	l := f.lasers[s][w][d]
 	if l == nil {
 		panic(fmt.Sprintf("optical: FailLaser(%d,λ%d→%d): no such laser", s, w, d))
@@ -786,7 +736,6 @@ func (f *Fabric) FailLaser(s, w, d int, permanent bool, now uint64) {
 // the relock penalty before transmitting again (the receiver must
 // re-acquire the returning source).
 func (f *Fabric) RestoreLaser(s, w, d int, now uint64) {
-	f.assertSerialPhase("RestoreLaser")
 	l := f.lasers[s][w][d]
 	if l == nil {
 		panic(fmt.Sprintf("optical: RestoreLaser(%d,λ%d→%d): no such laser", s, w, d))
@@ -804,7 +753,6 @@ func (f *Fabric) RestoreLaser(s, w, d int, now uint64) {
 // UnstickLaser, every SetLevel — DPM decisions, reassignment relevels —
 // is silently ignored (a stuck DPM actuator).
 func (f *Fabric) StickLaser(s, w, d, level int, now uint64) {
-	f.assertSerialPhase("StickLaser")
 	l := f.lasers[s][w][d]
 	if l == nil {
 		panic(fmt.Sprintf("optical: StickLaser(%d,λ%d→%d): no such laser", s, w, d))
@@ -930,9 +878,8 @@ func (f *Fabric) PendingDeliveries() int { return len(f.delHeap) }
 // with the same per-cycle float operations (addition order is part of
 // the determinism contract, so this must not collapse to one
 // multiplication). Callers guarantee Quiescent(now) for the whole
-// stretch; serial phase only.
+// stretch.
 func (f *Fabric) FastForwardIdle(n uint64) {
-	f.assertSerialPhase("FastForwardIdle")
 	if !f.meterEnabled {
 		return
 	}
@@ -1018,15 +965,9 @@ func (f *Fabric) tickLaser(l *Laser, now uint64) {
 	lit := ch.holder == l.s && !l.failed
 	if lit && l.level == 0 && len(l.queue) > 0 && f.cfg.Ladder.Operating(f.autoWake) {
 		l.SetLevel(f.autoWake, now, f.cfg.RelockCycles)
-		if dp := f.deferring(); dp != nil {
-			dp.logs[l.s].wakes++
-		} else {
-			f.wakes++
-		}
+		f.wakes++
 	}
-	// Try to start a transmission. Writing ch.busyUntil from the compute
-	// phase is race-free: a channel is driven by exactly one holder board
-	// (l.s here), and holders only change in the serial control phase.
+	// Try to start a transmission.
 	if lit && len(l.queue) > 0 && l.Operating() &&
 		!l.Disabled(now) && !l.Busy(now) && !ch.Busy(now) {
 		p := l.queue[0]
@@ -1034,22 +975,12 @@ func (f *Fabric) tickLaser(l *Laser, now uint64) {
 		l.queue[len(l.queue)-1] = nil
 		l.queue = l.queue[:len(l.queue)-1]
 		if f.observer != nil {
-			if dp := f.deferring(); dp != nil {
-				lg := &dp.logs[l.s]
-				lg.laserEvents = append(lg.laserEvents, evOp{kind: evTransmit, w: int32(l.w), d: int32(l.d), p: p})
-			} else {
-				f.observer.LaserTransmit(l.s, l.w, l.d, p, now)
-			}
+			f.observer.LaserTransmit(l.s, l.w, l.d, p, now)
 		}
 		ser := f.cfg.Ladder.SerializationCycles(p.Bits(), l.level, f.cfg.CycleNS)
 		l.busyUntil = now + ser
 		ch.busyUntil = now + ser
-		if dp := f.deferring(); dp != nil {
-			lg := &dp.logs[l.s]
-			lg.deliver = append(lg.deliver, delOp{p: p, at: now + ser + f.cfg.PropCycles, w: int32(l.w), d: int32(l.d)})
-		} else {
-			f.pushDelivery(now+ser+f.cfg.PropCycles, l.d, l.w, p)
-		}
+		f.pushDelivery(now+ser+f.cfg.PropCycles, l.d, l.w, p)
 		l.sentPackets++
 	}
 	busy := l.Busy(now)
@@ -1060,12 +991,7 @@ func (f *Fabric) tickLaser(l *Laser, now uint64) {
 	l.BufWin.AddN(uint64(len(l.queue)), uint64(f.cfg.QueueCap))
 	l.statsAt = now + 1
 	if f.meterEnabled && lit && l.Operating() {
-		if dp := f.deferring(); dp != nil {
-			lg := &dp.logs[l.s]
-			lg.meter = append(lg.meter, meterOp{mw: f.cfg.Ladder.MW(l.level), busy: busy})
-		} else {
-			f.meter.AddCycleMW(f.cfg.Ladder.MW(l.level), busy)
-		}
+		f.meter.AddCycleMW(f.cfg.Ladder.MW(l.level), busy)
 	}
 }
 

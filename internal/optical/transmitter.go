@@ -106,12 +106,7 @@ func (t *Transmitter) tick(now uint64) {
 			// free the reassembly buffer.
 			laser.dropWin++
 			if t.f.dropHook != nil {
-				if dp := t.f.deferring(); dp != nil {
-					lg := &dp.logs[t.s]
-					*lg.events() = append(*lg.events(), evOp{kind: evDrop, p: p})
-				} else {
-					t.f.dropHook(p, now)
-				}
+				t.f.dropHook(p, now)
 			}
 			n := len(vc.entries)
 			for i := range vc.entries {
@@ -133,12 +128,7 @@ func (t *Transmitter) tick(now uint64) {
 		laser.queue = append(laser.queue, p)
 		t.f.activateLaser(laser, now)
 		if t.f.observer != nil {
-			if dp := t.f.deferring(); dp != nil {
-				lg := &dp.logs[t.s]
-				*lg.events() = append(*lg.events(), evOp{kind: evEnqueue, w: int32(t.w), d: int32(dst), p: p})
-			} else {
-				t.f.observer.LaserEnqueue(t.s, t.w, dst, p, now)
-			}
+			t.f.observer.LaserEnqueue(t.s, t.w, dst, p, now)
 		}
 		n := len(vc.entries)
 		vc.entries = vc.entries[:0]

@@ -57,7 +57,8 @@ func (s *Stream) Derive(ids ...uint64) *Stream {
 }
 
 // State returns the stream's internal xoshiro256** state, for
-// snapshot/restore of speculative draws. The returned value is a copy.
+// snapshot/restore of draws that must be replayed (the engine's idle
+// fast-forward). The returned value is a copy.
 func (s *Stream) State() [4]uint64 { return s.s }
 
 // SetState restores a state previously captured with State. The stream

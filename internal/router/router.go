@@ -191,8 +191,8 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{cfg: cfg}
 	// The per-VC and per-port state lives in two contiguous slabs so one
-	// router's working set — which a single worker owns under parallel
-	// stepping — stays cache-local instead of scattered across the heap.
+	// router's working set stays cache-local instead of scattered across
+	// the heap.
 	vcSlab := make([]inVC, cfg.Inputs*cfg.VCs)
 	r.ins = make([][]*inVC, cfg.Inputs)
 	for p := range r.ins {

@@ -201,6 +201,41 @@ func TestHTTPValidationErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPWorkersFieldIgnored: a run body carrying the deprecated
+// Workers field, however large, simulates exactly the run without it —
+// same config digest, same result digest — with the cache off so both
+// jobs really run.
+func TestHTTPWorkersFieldIgnored(t *testing.T) {
+	_, ts := httpServer(t, Options{Workers: 1, CacheCap: -1})
+	const shape = `"Mode":"P-B","Boards":4,"NodesPerBoard":4,"Window":500,` +
+		`"WarmupCycles":1500,"MeasureCycles":1500,"DrainLimitCycles":30000,"Load":0.4`
+	run := func(body string) JobView {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d, want 202", body, resp.StatusCode)
+		}
+		v := decodeJob(t, resp.Body)
+		resp.Body.Close()
+		done := pollDone(t, ts.URL, v.ID)
+		if done.State != StateDone || done.Cached || done.ResultDigest == "" {
+			t.Fatalf("job for %s: %+v", body, done)
+		}
+		return done
+	}
+	with := run(`{` + shape + `,"Workers":64}`)
+	without := run(`{` + shape + `}`)
+	if with.ConfigDigest != without.ConfigDigest {
+		t.Errorf("config digest with Workers %s, without %s", with.ConfigDigest, without.ConfigDigest)
+	}
+	if with.ResultDigest != without.ResultDigest {
+		t.Errorf("result digest with Workers %s, without %s", with.ResultDigest, without.ResultDigest)
+	}
+}
+
 // TestHTTPSweep: sweep submission validates its axes and returns one
 // series per (pattern, mode) with paper mode labels.
 func TestHTTPSweep(t *testing.T) {

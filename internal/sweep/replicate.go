@@ -58,9 +58,8 @@ type ReplicateRequest struct {
 	Loads   []float64
 	Seeds   []uint64
 	// Workers is the number of concurrent runs; 0 (or negative) means
-	// one per available CPU (runtime.GOMAXPROCS(0)). This is sweep-level
-	// parallelism — compose with Base.Workers (intra-run parallelism) so
-	// the product stays near the core count.
+	// one per available CPU (runtime.GOMAXPROCS(0)). Each run steps on
+	// one goroutine, so this is the whole parallelism budget.
 	Workers int
 	// OnResult, when set, is called once per completed run, serialized
 	// under the sweep's lock (callbacks never run concurrently, but

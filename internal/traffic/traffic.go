@@ -300,8 +300,8 @@ func NewInjector(src int, rate float64, p Pattern, master *rng.Stream) *Injector
 // State is an opaque snapshot of an injection source's stochastic state:
 // the RNG stream plus any modulation state (the bursty ON/OFF flag). A
 // source restored to a saved state replays exactly the decisions it made
-// after the snapshot, which is what lets the engine discard speculative
-// pre-draws and replay them under changed parameters.
+// after the snapshot, which is what lets the engine's idle fast-forward
+// draw ahead and rewind to the first firing cycle.
 type State struct {
 	rng [4]uint64
 	on  bool

@@ -12,8 +12,8 @@
 #   PROFILE_DIR=prof scripts/bench.sh     # same as -profile-dir prof
 #
 # The file records cycles/s (or jobs/s), ns/op, B/op and allocs/op for
-# each BenchmarkSimSpeed* case (including the large-config parallel
-# matrix and the 1024-node hierarchical row SimSpeedHier/16x8x8, whose
+# each BenchmarkSimSpeed* case (including the two large configs and the
+# 1024-node hierarchical row SimSpeedHier/16x8x8, whose
 # "peak_rss_mb" field is the process high-water memory mark after the
 # run), the System.Reset reuse benchmarks (SystemReset, SweepJobs,
 # ServiceThroughput), plus the pre-optimization baseline of the headline
@@ -32,9 +32,9 @@
 # can judge how noisy the box was without access to the raw output.
 #
 # -profile-dir DIR additionally captures CPU and heap profiles of the
-# large-config benchmark at 1 and 8 workers (cpu-32x16-w{1,8}.pprof,
-# mem-32x16-w{1,8}.pprof, plus the bench.test binary for symbolizing).
-# Inspect with:  go tool pprof DIR/bench.test DIR/cpu-32x16-w8.pprof
+# 32x16 large-config benchmark (cpu-32x16-w1.pprof, mem-32x16-w1.pprof,
+# plus the bench.test binary for symbolizing).
+# Inspect with:  go tool pprof DIR/bench.test DIR/cpu-32x16-w1.pprof
 #
 # Gates (after recording; every gate's outcome — ok, FAIL, or skipped
 # with the reason — is appended to the JSON under "gates", so the perf
@@ -44,16 +44,8 @@
 #     throughput on shared machines drifts ±15% with co-tenant load
 #     (measured: the same binary spans 84–99k cycles/s on the P-B
 #     headline across a day), so this margin only catches engine-scale
-#     regressions; the same-run relative gates below are the precise
-#     ones, being immune to box drift;
-#   - on machines with >= 8 CPUs: SimSpeedLarge/32x16-w8 must be at
-#     least 2x SimSpeedLarge/32x16-w1, and w2 may not be slower than w1
-#     on any large config (the intra-run parallelism criteria). On
-#     smaller machines both checks are recorded as skipped with the
-#     NumCPU reason;
-#   - on every machine: the parallel engine may not allocate more per
-#     cycle than the serial path — 32x16 allocs/op at w2..w8 must be
-#     <= w1 from the same run;
+#     regressions; the same-run relative gate below is the precise
+#     one, being immune to box drift;
 #   - on every machine running the large configs: SweepJobs/reuse must
 #     be at least 1.5x SweepJobs/fresh jobs/s — the System.Reset reuse
 #     payoff on repeated same-topology jobs.
@@ -197,14 +189,12 @@ echo "wrote $OUT" >&2
 if [ -n "$PROFILE_DIR" ]; then
     mkdir -p "$PROFILE_DIR"
     echo "bench.sh: capturing CPU+heap profiles into $PROFILE_DIR" >&2
-    for W in 1 8; do
-        go test -run '^$' -bench "BenchmarkSimSpeedLarge/32x16-w${W}\$" \
-            -benchtime "$BENCHTIME" -timeout 0 \
-            -cpuprofile "$PROFILE_DIR/cpu-32x16-w${W}.pprof" \
-            -memprofile "$PROFILE_DIR/mem-32x16-w${W}.pprof" \
-            -o "$PROFILE_DIR/bench.test" . >/dev/null
-    done
-    echo "bench.sh: inspect with: go tool pprof $PROFILE_DIR/bench.test $PROFILE_DIR/cpu-32x16-w8.pprof" >&2
+    go test -run '^$' -bench 'BenchmarkSimSpeedLarge/32x16-w1$' \
+        -benchtime "$BENCHTIME" -timeout 0 \
+        -cpuprofile "$PROFILE_DIR/cpu-32x16-w1.pprof" \
+        -memprofile "$PROFILE_DIR/mem-32x16-w1.pprof" \
+        -o "$PROFILE_DIR/bench.test" . >/dev/null
+    echo "bench.sh: inspect with: go tool pprof $PROFILE_DIR/bench.test $PROFILE_DIR/cpu-32x16-w1.pprof" >&2
 fi
 
 python3 - "$OUT" "$BASELINE" <<'EOF'
@@ -252,47 +242,6 @@ else:
             record(f"baseline {name}", "info", detail + " (ungated)")
         else:
             record(f"baseline {name}", "FAIL" if ratio < 0.80 else "ok", detail)
-
-# Intra-run parallelism criteria: only meaningful with real cores to
-# spread the boards over, so the speed checks are conditioned on CPU
-# count — but skipping is always announced and recorded, never silent.
-cpus = os.cpu_count() or 1
-large = [c for c in ("32x16", "64x8")
-         if any(n.startswith(f"SimSpeedLarge/{c}-w") for n in cur_b)]
-if not large:
-    skip("parallel speedup", "no SimSpeedLarge results (SKIP_LARGE=1?)")
-elif cpus < 8:
-    skip("parallel speedup",
-         f"NumCPU<8 ({cpus} CPU(s); w8>=2x-w1 and w2>=w1 gates need real cores)")
-else:
-    w1 = cur_b.get("SimSpeedLarge/32x16-w1")
-    w8 = cur_b.get("SimSpeedLarge/32x16-w8")
-    if w1 and w8:
-        speedup = w8["cycles_per_sec"] / w1["cycles_per_sec"]
-        record("32x16 parallel speedup (w8/w1)",
-               "FAIL" if speedup < 2.0 else "ok",
-               f"{speedup:.2f}x (need >= 2x)")
-    for c in large:
-        c1 = cur_b.get(f"SimSpeedLarge/{c}-w1")
-        c2 = cur_b.get(f"SimSpeedLarge/{c}-w2")
-        if not (c1 and c2):
-            continue
-        ratio = c2["cycles_per_sec"] / c1["cycles_per_sec"]
-        record(f"{c} w2 vs w1", "FAIL" if ratio < 1.0 else "ok",
-               f"{ratio:.2f}x (w2 may not lose)")
-
-# Allocation gate, unconditional: epoch dispatch and the compact
-# outboxes must hold the parallel engine at (or below) the serial
-# allocation floor, whatever the core count.
-w1 = cur_b.get("SimSpeedLarge/32x16-w1")
-if w1 and w1.get("allocs_per_op") is not None:
-    for w in (2, 4, 8):
-        c = cur_b.get(f"SimSpeedLarge/32x16-w{w}")
-        if not c or c.get("allocs_per_op") is None:
-            continue
-        record(f"32x16 allocs/op w{w} vs w1",
-               "FAIL" if c["allocs_per_op"] > w1["allocs_per_op"] else "ok",
-               f"{c['allocs_per_op']:g} vs {w1['allocs_per_op']:g}")
 
 # System.Reset reuse gate, same-run relative so box drift cannot touch
 # it: repeated same-topology jobs through a Runner must beat fresh
