@@ -162,8 +162,7 @@ func main() {
 	}
 
 	// -trace rides the unified telemetry pipeline: a recorder filtered to
-	// LS stage entries replaces the old ctrl.System.Trace() consumer (the
-	// printed format is unchanged).
+	// LS stage entries.
 	var stageRec *telemetry.Recorder
 	if *lsTrace {
 		stageRec = telemetry.NewRecorder(1 << 20)

@@ -51,6 +51,5 @@ func oracleProfile(cfg Config, ladder *power.Ladder) (*policy.Profile, error) {
 	s.ctl.Start()
 	s.StepN(pcfg.WarmupCycles + pcfg.MeasureCycles)
 	s.eng.Stop()
-	s.eng.Shutdown()
 	return policy.BuildProfile(profilers), nil
 }

@@ -87,7 +87,7 @@ func TestPhaseProfileOffNoAllocs(t *testing.T) {
 	if s.PhaseProfile() != nil {
 		t.Fatal("profiler enabled without Config.PhaseProfile")
 	}
-	// Controllers stay un-started: RC processes allocate protocol
+	// Controllers stay un-started: RCs allocate protocol
 	// messages at window boundaries, outside the per-cycle path.
 	for i := 0; i < 20000; i++ {
 		s.Step()

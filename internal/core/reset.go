@@ -80,8 +80,9 @@ func (s *System) Reset(cfg Config) error {
 	// place.
 	s.eng.Reset()
 	s.fab.Reset()
-	// Rebuild the control plane: RC processes are engine processes (the
-	// old ones died with the previous run) and the policy may differ.
+	// Rebuild the control plane: the RCs' state machines restart from
+	// their first window (the engine reset dropped their pending
+	// callbacks) and the policy may differ.
 	cc := cfg.ctrlConfig()
 	if cc.Policy.CanonicalName() == "oracle-static" {
 		prof, err := oracleProfile(cfg, ladder)

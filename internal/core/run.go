@@ -48,7 +48,7 @@ func (s *System) Run() *Result {
 
 // RunContext is Run with cooperative cancellation checked once per
 // reconfiguration window (see the package-level RunContext). On
-// cancellation it still tears the system down cleanly and returns the
+// cancellation it still stops the engine cleanly and returns the
 // metrics of the completed portion alongside a *CancelledError.
 func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	s.ctl.Start()
@@ -86,8 +86,6 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	}
 	s.eng.Stop()
 	res := s.result(now, truncated)
-	// Release the RC process goroutines: the run is complete.
-	s.eng.Shutdown()
 	if cancelled != nil {
 		return res, &CancelledError{Window: (now + 1) / window, Cycle: now + 1, Cause: cancelled}
 	}

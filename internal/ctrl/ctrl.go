@@ -22,9 +22,11 @@
 //	Link Response  — each RC programs its LCs: lasers turn on/off and
 //	                 the receivers re-lock onto their new sources
 //
-// RCs are sim processes (goroutines under the deterministic engine), so
-// the protocol really exchanges messages with ring-hop latencies rather
-// than being approximated by a global barrier.
+// Each RC is a small state machine — its stage, the DPM walk's LC hop,
+// an inbox and the current receive deadline — advanced by callbacks on
+// the deterministic event engine, so the protocol really exchanges
+// messages with ring-hop latencies rather than being approximated by a
+// global barrier.
 package ctrl
 
 import (
@@ -79,10 +81,10 @@ type Config struct {
 	// complement-traffic results plateau near 4× the static bandwidth,
 	// which corresponds to MaxHold = 4; see the ablation bench.
 	MaxHold int
-	// RecvTimeoutCycles bounds every blocking ring receive during the DBR
-	// exchange; 0 (the default) keeps the legacy unbounded receive, which
-	// is exact when messages cannot be lost. Fault-injected systems set it
-	// so a dropped Board Request cannot wedge a window.
+	// RecvTimeoutCycles bounds every ring receive during the DBR
+	// exchange; 0 (the default) arms no deadline timer, which is exact
+	// when messages cannot be lost. Fault-injected systems set it so a
+	// dropped Board Request cannot wedge a window.
 	RecvTimeoutCycles uint64
 	// RecvRetries bounds how many times a timed-out RC re-sends its
 	// message (each retry doubles the timeout) before abandoning the
@@ -192,14 +194,6 @@ func (c Counters) Add(o Counters) Counters {
 	return c
 }
 
-// StageEvent records one LS protocol stage execution, for the Fig. 4
-// trace reproduction and protocol-order tests.
-type StageEvent struct {
-	Cycle uint64
-	Board int
-	Stage string
-}
-
 // RingFault intercepts RC→RC control-ring messages (fault injection).
 // Implementations must be deterministic functions of their own state and
 // the arguments.
@@ -220,9 +214,6 @@ type System struct {
 	rcs []*RC
 	ctr Counters
 
-	// traceStages, when set, appends protocol stage events.
-	traceStages bool
-	trace       []StageEvent
 	// sink, when non-nil, receives every stage entry as a telemetry
 	// event (the unified pipeline; see SetSink).
 	sink telemetry.Sink
@@ -230,10 +221,10 @@ type System struct {
 	// injection). The healthy path never consults it beyond a nil check.
 	ringFault RingFault
 
-	// msgFree recycles consumed boardMsg records (and their entry
-	// slices) so the per-window ring exchange allocates nothing in the
-	// steady state. RC processes run one at a time under the engine, so
-	// the free list needs no locking.
+	// msgFree recycles consumed boardMsg records (with their entry
+	// slices and deliver callbacks) so the per-window ring exchange
+	// allocates nothing in the steady state. RCs run only inside engine
+	// callbacks, one at a time, so the free list needs no locking.
 	msgFree []*boardMsg
 }
 
@@ -247,12 +238,15 @@ func (s *System) getMsg() *boardMsg {
 		s.msgFree = s.msgFree[:n-1]
 		return m
 	}
-	return &boardMsg{}
+	m := &boardMsg{}
+	m.deliver = func() { m.to.receiveMsg(m) }
+	return m
 }
 
 // putMsg recycles a fully consumed control message. The assign slice is
-// deliberately dropped, never reused: the origin's lastAssign (and the
-// Link Response stage) may still reference it.
+// deliberately dropped, never reused: the origin's RC (its Link
+// Response stage, and any response retry still in flight) may still
+// reference it.
 func (s *System) putMsg(m *boardMsg) {
 	m.assign = nil
 	s.msgFree = append(s.msgFree, m)
@@ -261,8 +255,8 @@ func (s *System) putMsg(m *boardMsg) {
 // SetRingFault attaches a control-ring fault filter (nil detaches).
 func (s *System) SetRingFault(rf RingFault) { s.ringFault = rf }
 
-// NewSystem builds the controller system. Call Start to spawn the RC
-// processes before running the engine.
+// NewSystem builds the controller system. Call Start to schedule the
+// RCs before running the engine.
 func NewSystem(top *topology.Topology, fab *optical.Fabric, eng *sim.Engine, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -314,15 +308,6 @@ func (s *System) Counters() Counters { return s.ctr }
 // RC returns board b's reconfiguration controller.
 func (s *System) RC(b int) *RC { return s.rcs[b] }
 
-// EnableTrace records LS stage events (Fig. 4) into the in-memory
-// StageEvent slice. New consumers should prefer SetSink, the unified
-// telemetry pipeline; this remains for protocol-order tests that want
-// the events as structs.
-func (s *System) EnableTrace() { s.traceStages = true }
-
-// Trace returns the recorded stage events.
-func (s *System) Trace() []StageEvent { return s.trace }
-
 // SetSink attaches a telemetry sink (nil detaches): every LS stage
 // entry is emitted as a telemetry.StageEnter event with the RC's board
 // and the stage name as label. core.System wires this automatically
@@ -330,9 +315,6 @@ func (s *System) Trace() []StageEvent { return s.trace }
 func (s *System) SetSink(sink telemetry.Sink) { s.sink = sink }
 
 func (s *System) stage(board int, name string) {
-	if s.traceStages {
-		s.trace = append(s.trace, StageEvent{Cycle: s.eng.Now(), Board: board, Stage: name})
-	}
 	if s.sink != nil {
 		s.sink.Emit(telemetry.Event{
 			Cycle: s.eng.Now(), Kind: telemetry.StageEnter,
@@ -341,10 +323,11 @@ func (s *System) stage(board int, name string) {
 	}
 }
 
-// Start spawns one RC process per board. The processes run for the
-// lifetime of the engine.
+// Start schedules every RC's first activation at the current instant,
+// in board order. From then on the RCs keep themselves on the engine's
+// calendar for its lifetime; nothing runs outside engine callbacks.
 func (s *System) Start() {
 	for _, rc := range s.rcs {
-		rc.start()
+		s.eng.After(0, rc.resumeFn)
 	}
 }

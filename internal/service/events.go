@@ -10,8 +10,9 @@ import (
 // one running job (the writer, on the simulation hot path) and any
 // number of HTTP streaming subscribers (readers).
 //
-// The writer appends under a mutex into a fixed ring and never blocks
-// on readers: a subscriber that falls more than cap(ring) events
+// The writer appends under a mutex into a ring that grows with the
+// events actually emitted up to its capacity, then wraps; it never
+// blocks on readers. A subscriber that falls more than capacity events
 // behind skips ahead and is told how many events it missed, so a slow
 // or stalled client can never wedge or slow a simulation beyond the
 // cost of the mutex. Readers block on a condition variable until new
@@ -20,13 +21,15 @@ type eventLog struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	ring   []telemetry.Event
+	window uint64 // capacity: the ring wraps once it holds this many
 	seq    uint64 // total events ever appended
 	closed bool
 }
 
-// newEventLog creates a log retaining the last capacity events.
+// newEventLog creates a log retaining the last capacity events. The
+// ring starts empty: a queued or short job holds only what it emitted.
 func newEventLog(capacity int) *eventLog {
-	l := &eventLog{ring: make([]telemetry.Event, capacity)}
+	l := &eventLog{window: uint64(capacity)}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
@@ -34,7 +37,11 @@ func newEventLog(capacity int) *eventLog {
 // Emit implements telemetry.Sink.
 func (l *eventLog) Emit(ev telemetry.Event) {
 	l.mu.Lock()
-	l.ring[l.seq%uint64(len(l.ring))] = ev
+	if l.seq < l.window {
+		l.ring = append(l.ring, ev)
+	} else {
+		l.ring[l.seq%l.window] = ev
+	}
 	l.seq++
 	l.mu.Unlock()
 	l.cond.Broadcast()
@@ -71,9 +78,9 @@ func (l *eventLog) next(from uint64, buf []telemetry.Event) (batch []telemetry.E
 		}
 	}
 	start := from
-	if window := uint64(len(l.ring)); l.seq > window && start < l.seq-window {
-		skipped = l.seq - window - start
-		start = l.seq - window
+	if l.seq > l.window && start < l.seq-l.window {
+		skipped = l.seq - l.window - start
+		start = l.seq - l.window
 	}
 	n := l.seq - start
 	if max := uint64(cap(buf)); n > max {
@@ -82,7 +89,7 @@ func (l *eventLog) next(from uint64, buf []telemetry.Event) (batch []telemetry.E
 	batch = buf[:0]
 	for i := uint64(0); i < n; i++ {
 		s := start + i
-		batch = append(batch, l.ring[s%uint64(len(l.ring))])
+		batch = append(batch, l.ring[s%l.window])
 	}
 	return batch, start + n, skipped, l.closed
 }

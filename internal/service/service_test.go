@@ -454,6 +454,48 @@ func TestEventLogStreamAndSkip(t *testing.T) {
 	}
 }
 
+// TestEventLogGrowsWithUse: a job's log holds slots for the events it
+// emitted, not its whole capacity, and a reader that fell behind a
+// wrapped ring is told the same skip count as with a preallocated one.
+func TestEventLogGrowsWithUse(t *testing.T) {
+	s := New(Options{Workers: 1}) // default EventCap: 65,536 events
+	defer shutdown(t, s)
+	v, err := s.SubmitRun(fastCfg(core.PB, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, s, v.ID)
+	log, _ := s.eventLogFor(v.ID)
+	log.mu.Lock()
+	n, c := int(log.seq), cap(log.ring)
+	log.mu.Unlock()
+	if n == 0 || n > 1<<14 {
+		t.Fatalf("setup: job emitted %d events, want 0 < n ≪ 65,536", n)
+	}
+	if c > 2*n {
+		t.Fatalf("log of %d events holds %d slots", n, c)
+	}
+
+	l := newEventLog(8)
+	for i := 0; i < 5; i++ {
+		l.Emit(telemetry.Event{Cycle: uint64(i)})
+	}
+	buf := make([]telemetry.Event, 0, 16)
+	if batch, _, skipped, _ := l.next(0, buf); skipped != 0 || len(batch) != 5 || batch[4].Cycle != 4 {
+		t.Fatalf("before wrap: batch %v skipped %d", batch, skipped)
+	}
+	for i := 5; i < 21; i++ {
+		l.Emit(telemetry.Event{Cycle: uint64(i)})
+	}
+	if len(l.ring) != 8 {
+		t.Fatalf("ring grew to %d slots, capacity 8", len(l.ring))
+	}
+	batch, resume, skipped, _ := l.next(2, buf)
+	if skipped != 11 || len(batch) != 8 || batch[0].Cycle != 13 || batch[7].Cycle != 20 || resume != 21 {
+		t.Fatalf("behind a wrapped ring: batch %v resume %d skipped %d, want 13..20, 21, 11", batch, resume, skipped)
+	}
+}
+
 // TestEventStreamMatchesRecorder: the events a job streams are exactly
 // the events the simulation emits.
 func TestEventStreamMatchesRecorder(t *testing.T) {

@@ -228,29 +228,3 @@ func BenchmarkEventScheduling(b *testing.B) {
 		e.Step()
 	}
 }
-
-func BenchmarkClockTick(b *testing.B) {
-	e := NewEngine()
-	c := NewClock(e, 1)
-	for i := 0; i < 32; i++ {
-		c.Add(Ticker{F: func(Time) {}})
-	}
-	c.Start()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-func BenchmarkProcessContextSwitch(b *testing.B) {
-	e := NewEngine()
-	e.SpawnProcess("spinner", func(p *Process) {
-		for {
-			p.Delay(1)
-		}
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
