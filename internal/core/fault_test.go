@@ -3,7 +3,6 @@ package core
 import (
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -304,20 +303,5 @@ func TestGoldenFaultedRun(t *testing.T) {
 		r.Ctrl.Timeouts, r.Ctrl.Retries, r.Ctrl.StaleMsgs, r.Ctrl.AbandonedCycles, r.Ctrl.FaultRepairs, r.Ctrl.Reassignments)
 	fmt.Fprintf(&b, "degradedWindows %v\n", r.DegradedWindows)
 
-	golden := filepath.Join("testdata", "faulted_run.golden")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if b.String() != string(want) {
-		t.Fatalf("faulted reference run diverged from golden:\ngot:\n%swant:\n%s", b.String(), want)
-	}
+	checkGolden(t, filepath.Join("testdata", "faulted_run.golden"), b.String())
 }
